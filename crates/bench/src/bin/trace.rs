@@ -16,6 +16,7 @@
 //! and renders an existing JSONL trace instead, so any archived run
 //! can be inspected offline.
 
+use sleepscale::DEFAULT_FREQ_STEP;
 use sleepscale_bench::{require_io, results_dir};
 use sleepscale_scenario::catalog;
 use sleepscale_scenario::prelude::*;
@@ -29,8 +30,8 @@ struct ServerView {
     active_idle: f64,
     waking: f64,
     wakes: u64,
-    /// `(frequency, epochs)` in first-chosen order.
-    frequencies: Vec<(f64, u64)>,
+    /// `(frequency bucket, epochs)` in first-chosen order.
+    frequencies: Vec<(i64, u64)>,
     decisions: u64,
     cache_hits: u64,
 }
@@ -44,6 +45,15 @@ struct EpochView {
     f_min: f64,
     f_max: f64,
     freq_changes: u64,
+}
+
+/// The residency table's column for a chosen frequency: its index on
+/// the candidate grid's step. Grids start at `ρ̂ + margin`, so raw
+/// frequencies are off-lattice and nearly every epoch picks a distinct
+/// value; one column per grid step keeps the table narrow and every
+/// 2-decimal header distinct.
+fn freq_bucket(frequency: f64) -> i64 {
+    (frequency / DEFAULT_FREQ_STEP).round() as i64
 }
 
 fn add_keyed<K: PartialEq, V: Copy + std::ops::AddAssign>(
@@ -164,7 +174,7 @@ fn main() {
             } => {
                 let i = view(&mut servers, *server);
                 let sv = &mut servers[i].1;
-                add_keyed(&mut sv.frequencies, *frequency, 1u64);
+                add_keyed(&mut sv.frequencies, freq_bucket(*frequency), 1u64);
                 sv.decisions += 1;
                 sv.cache_hits += u64::from(*cache_hit);
                 let e = match epochs.iter_mut().find(|(k, _)| k == epoch) {
@@ -223,19 +233,21 @@ fn main() {
     // Table 2: per-server frequency residency, in epochs at each
     // chosen DVFS point (the trace records decisions, not seconds —
     // epoch length is uniform, so epochs *are* the residency).
-    let mut freq_order: Vec<f64> = Vec::new();
+    let mut freq_order: Vec<i64> = Vec::new();
     for (_, sv) in &servers {
         for (f, _) in &sv.frequencies {
-            if !freq_order.iter().any(|g| g == f) {
+            if !freq_order.contains(f) {
                 freq_order.push(*f);
             }
         }
     }
-    freq_order.sort_by(|a, b| a.partial_cmp(b).expect("frequencies are finite"));
-    println!("\n== per-server frequency residency (epochs at each f) ==");
+    freq_order.sort_unstable();
+    println!(
+        "\n== per-server frequency residency (epochs at each f, bucketed to the {DEFAULT_FREQ_STEP} grid step) =="
+    );
     print!("{:>6} {:>7} {:>7}", "server", "epochs", "cache%");
     for f in &freq_order {
-        print!(" {:>7}", format!("f={f:.2}"));
+        print!(" {:>7}", format!("f={:.2}", *f as f64 * DEFAULT_FREQ_STEP));
     }
     println!();
     for (id, sv) in &servers {
@@ -288,4 +300,25 @@ fn main() {
         }
     }
     println!("\n{} events from {}", events.len(), path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frequencies_that_print_alike_share_a_column() {
+        // Two grid points from different epochs' grids: both print as
+        // `f=0.42` but differ in the third decimal.
+        let (a, b) = (0.4237, 0.4191);
+        assert_eq!(format!("{a:.2}"), format!("{b:.2}"));
+        assert_ne!(a, b);
+        assert_eq!(freq_bucket(a), freq_bucket(b));
+        let mut columns = Vec::new();
+        add_keyed(&mut columns, freq_bucket(a), 1u64);
+        add_keyed(&mut columns, freq_bucket(b), 1u64);
+        assert_eq!(columns, vec![(freq_bucket(a), 2)]);
+        // A full grid step apart is a different column.
+        assert_ne!(freq_bucket(a), freq_bucket(a + DEFAULT_FREQ_STEP));
+    }
 }

@@ -929,6 +929,9 @@ impl Cluster {
             start_epoch = done + 1;
         }
 
+        // One snapshot writer for the whole run: cleared per epoch, so
+        // its buffer is allocated once at the largest snapshot's size.
+        let mut w = sleepscale_journal::ByteWriter::new();
         for k in start_epoch..n_epochs {
             let epoch_start = k as f64 * epoch_seconds;
             let epoch_end = epoch_start + epoch_seconds;
@@ -1301,8 +1304,8 @@ impl Cluster {
             }
 
             if let Some(sink) = sink.as_deref_mut() {
-                use sleepscale_journal::{ByteWriter, Snapshot};
-                let mut w = ByteWriter::new();
+                use sleepscale_journal::Snapshot;
+                w.clear();
                 w.put_usize(k);
                 for slot in slots.iter() {
                     match &slot.strategy {

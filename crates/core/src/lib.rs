@@ -69,7 +69,7 @@ mod strategies;
 
 pub use analytic_strategy::AnalyticStrategy;
 pub use cache::{CacheStats, CharacterizationCache, DEFAULT_CACHE_CAPACITY};
-pub use candidates::CandidateSet;
+pub use candidates::{CandidateSet, DEFAULT_FREQ_STEP};
 pub use error::CoreError;
 pub use manager::{
     CharacterizationKey, PolicyManager, SearchMode, Selection, WarmStartStats, RHO_QUANTUM,

@@ -323,6 +323,8 @@ fn run_inner(
         start_epoch = done + 1;
     }
 
+    // One snapshot writer for the whole run, cleared per epoch.
+    let mut w = ByteWriter::new();
     for k in start_epoch..n_epochs {
         let policy = strategy.begin_epoch(k)?;
         if online.trace_enabled() {
@@ -396,7 +398,7 @@ fn run_inner(
         }
 
         if let Some(sink) = sink.as_deref_mut() {
-            let mut w = ByteWriter::new();
+            w.clear();
             w.put_usize(k);
             online.snapshot_state(&mut w);
             epochs.snapshot(&mut w);

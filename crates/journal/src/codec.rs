@@ -54,6 +54,13 @@ impl ByteWriter {
         self.buf
     }
 
+    /// Empties the writer but keeps its allocation, so a writer reused
+    /// for every epoch's snapshot stops reallocating once it has seen
+    /// the largest one.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -87,6 +94,26 @@ impl ByteWriter {
     /// Appends an `f64` as its exact bit pattern.
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
+    }
+
+    /// Appends each `f64` of `v` as its exact bit pattern, in order —
+    /// the same bytes as one [`ByteWriter::put_f64`] per element.
+    pub fn put_f64s(&mut self, v: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * v.len(), 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(8).zip(v) {
+            dst.copy_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+
+    /// Appends each `u16` of `v` little-endian, in order — the same
+    /// bytes as one [`ByteWriter::put_u16`] per element.
+    pub fn put_u16s(&mut self, v: &[u16]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 2 * v.len(), 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(2).zip(v) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
     }
 
     /// Appends a bool as one byte (0 or 1).
@@ -177,6 +204,25 @@ impl<'a> ByteReader<'a> {
     /// Reads an `f64` from its bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.get_u64()?))
+    }
+
+    /// Reads `n` consecutive `f64` bit patterns — the bytes
+    /// [`ByteWriter::put_f64s`] writes. The length is checked against
+    /// the remaining input before anything is allocated.
+    pub fn get_f64s(&mut self, n: usize) -> Result<Vec<f64>, CodecError> {
+        let bytes = self.take(n.checked_mul(8).ok_or(CodecError::UnexpectedEof)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+            .collect())
+    }
+
+    /// Reads `n` consecutive little-endian `u16`s — the bytes
+    /// [`ByteWriter::put_u16s`] writes — checked like
+    /// [`ByteReader::get_f64s`].
+    pub fn get_u16s(&mut self, n: usize) -> Result<Vec<u16>, CodecError> {
+        let bytes = self.take(n.checked_mul(2).ok_or(CodecError::UnexpectedEof)?)?;
+        Ok(bytes.chunks_exact(2).map(|b| u16::from_le_bytes([b[0], b[1]])).collect())
     }
 
     /// Reads a bool, rejecting anything but 0 and 1.
@@ -421,6 +467,31 @@ mod tests {
             let mut r = ByteReader::new(&bytes[..cut]);
             assert!(Vec::<u64>::restore(&mut r).is_err(), "cut at {cut} decoded");
         }
+    }
+
+    #[test]
+    fn bulk_puts_match_per_element_puts() {
+        let floats = [0.25, -0.0, f64::INFINITY, f64::from_bits(0x7FF8_0000_0000_1234), 1e-300];
+        let shorts = [0u16, 1, 0xBEEF, u16::MAX];
+        let mut each = ByteWriter::new();
+        floats.iter().for_each(|&x| each.put_f64(x));
+        shorts.iter().for_each(|&x| each.put_u16(x));
+        let mut bulk = ByteWriter::new();
+        bulk.put_u8(9);
+        bulk.clear();
+        bulk.put_f64s(&floats);
+        bulk.put_u16s(&shorts);
+        assert_eq!(bulk.as_bytes(), each.as_bytes());
+        let mut r = ByteReader::new(bulk.as_bytes());
+        let back = r.get_f64s(floats.len()).unwrap();
+        assert!(back.iter().zip(&floats).all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(r.get_u16s(shorts.len()).unwrap(), shorts);
+        assert!(r.is_empty());
+        // Counts past the input (or past usize when scaled) are EOF,
+        // never an allocation.
+        assert_eq!(r.get_u16s(1), Err(CodecError::UnexpectedEof));
+        assert_eq!(ByteReader::new(&[0; 15]).get_f64s(2), Err(CodecError::UnexpectedEof));
+        assert_eq!(ByteReader::new(&[]).get_f64s(usize::MAX), Err(CodecError::UnexpectedEof));
     }
 
     #[test]

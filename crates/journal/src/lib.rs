@@ -29,5 +29,6 @@ mod journal;
 
 pub use codec::{ByteReader, ByteWriter, CodecError, Snapshot};
 pub use journal::{
-    fnv1a64, Journal, JournalError, JournalMeta, KillPlan, FRAME_LEN, HEADER_LEN, MAGIC,
+    fnv1a64, record_checksum, Journal, JournalError, JournalMeta, KillPlan, FRAME_LEN, HEADER_LEN,
+    MAGIC,
 };

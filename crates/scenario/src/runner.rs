@@ -17,8 +17,10 @@ use std::path::Path;
 /// The snapshot schema version this binary writes into (and accepts
 /// from) journal headers. Bump whenever any `Snapshot` layout anywhere
 /// in the engine changes — a resume across versions is rejected with a
-/// typed error, never guessed at.
-pub const JOURNAL_SCHEMA_VERSION: u32 = 2;
+/// typed error, never guessed at. Version 3 moved record frames to
+/// `sleepscale_journal::record_checksum` and dropped the worker count
+/// from the config fingerprint.
+pub const JOURNAL_SCHEMA_VERSION: u32 = 3;
 
 /// Which engine a scenario ran on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -532,12 +534,17 @@ impl ScenarioRunner {
         Ok(report.expect("a run without a checkpoint sink always completes"))
     }
 
-    /// FNV-1a 64 fingerprint of the scenario's full configuration (the
-    /// debug form covers every field, the fleet and workload included).
-    /// Written into the journal header so resuming against a reshaped
-    /// scenario is a typed error instead of silent divergence.
+    /// FNV-1a 64 fingerprint of the scenario configuration that shapes
+    /// the result: the debug form of every field, the fleet and
+    /// workload included, except `threads` — every engine is
+    /// byte-identical at any worker count, so a run killed at one
+    /// worker count may resume at another. (`shards` stays: it shapes
+    /// the per-shard sketch state in the snapshot.) Written into the
+    /// journal header so resuming against a reshaped scenario is a
+    /// typed error instead of silent divergence.
     pub fn config_fingerprint(&self) -> u64 {
-        fnv1a64(format!("{:?}", self.scenario).as_bytes())
+        let shape = Scenario { threads: 0, ..self.scenario.clone() };
+        fnv1a64(format!("{shape:?}").as_bytes())
     }
 
     fn journal_meta(&self) -> JournalMeta {
@@ -1344,6 +1351,39 @@ mod tests {
         reshaped.eval_jobs += 1;
         let err = ScenarioRunner::new(reshaped).unwrap().resume(&path).unwrap_err();
         assert!(err.to_string().contains("config mismatch"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The worker count is an execution knob, not part of a run's
+    /// identity: a fleet killed at one worker resumes at two and lands
+    /// on the uninterrupted one-worker report, byte for byte.
+    #[test]
+    fn resume_at_another_worker_count_is_byte_identical() {
+        let one = ScenarioRunner::new(Scenario { threads: 1, ..small_fleet() }).unwrap();
+        let two = ScenarioRunner::new(Scenario { threads: 2, ..small_fleet() }).unwrap();
+        assert_eq!(one.config_fingerprint(), two.config_fingerprint());
+        let reference = one.run().unwrap();
+        let path = journal_path("threads");
+        let _ = std::fs::remove_file(&path);
+        assert!(one.run_checkpointed(&path, KillPlan::after_epoch(2)).unwrap().is_none());
+        let resumed = two.resume(&path).unwrap();
+        assert_eq!(resumed, reference);
+        assert_eq!(format!("{resumed:?}"), format!("{reference:?}"), "bit-exact debug form");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Journals stamped by an older schema (version 2 framed records
+    /// with FNV-1a and fingerprinted the worker count) are a typed
+    /// rejection, never a misdecode.
+    #[test]
+    fn older_schema_journal_is_a_typed_rejection() {
+        let runner = ScenarioRunner::new(small_single()).unwrap();
+        let path = journal_path("schema-2");
+        let meta = JournalMeta { schema_version: 2, ..runner.journal_meta() };
+        Journal::create(&path, &meta).unwrap();
+        let err = runner.resume(&path).unwrap_err();
+        assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("schema mismatch"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 

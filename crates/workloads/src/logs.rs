@@ -250,10 +250,19 @@ impl JobLog {
 
 impl sleepscale_journal::Snapshot for JobLog {
     fn snapshot(&self, w: &mut sleepscale_journal::ByteWriter) {
+        // Column by column, slice by slice: the same bytes as the
+        // element-wise `VecDeque` encoding, read back in bulk.
         w.put_usize(self.capacity);
-        self.interarrivals.snapshot(w);
-        self.sizes.snapshot(w);
-        self.classes.snapshot(w);
+        for column in [&self.interarrivals, &self.sizes] {
+            let (front, back) = column.as_slices();
+            w.put_usize(column.len());
+            w.put_f64s(front);
+            w.put_f64s(back);
+        }
+        let (front, back) = self.classes.as_slices();
+        w.put_usize(self.classes.len());
+        w.put_u16s(front);
+        w.put_u16s(back);
         self.last_arrival.snapshot(w);
     }
 
@@ -261,9 +270,12 @@ impl sleepscale_journal::Snapshot for JobLog {
         r: &mut sleepscale_journal::ByteReader<'_>,
     ) -> Result<JobLog, sleepscale_journal::CodecError> {
         let capacity = r.get_usize()?.max(1);
-        let interarrivals = VecDeque::restore(r)?;
-        let sizes: VecDeque<f64> = VecDeque::restore(r)?;
-        let classes = VecDeque::restore(r)?;
+        let n = r.get_usize()?;
+        let interarrivals = VecDeque::from(r.get_f64s(n)?);
+        let n = r.get_usize()?;
+        let sizes = VecDeque::from(r.get_f64s(n)?);
+        let n = r.get_usize()?;
+        let classes = VecDeque::from(r.get_u16s(n)?);
         if interarrivals.len() != sizes.len()
             || classes.len() != sizes.len()
             || sizes.len() > capacity
@@ -429,6 +441,27 @@ mod tests {
         let stream = log.replay(50, 0.4).unwrap();
         assert!(!stream.is_tagged());
         assert!(stream.jobs().iter().enumerate().all(|(i, j)| j.id == i as u64));
+    }
+
+    #[test]
+    fn snapshot_of_a_wrapped_ring_matches_the_element_wise_encoding() {
+        use sleepscale_journal::{ByteReader, ByteWriter, Snapshot};
+        let mut log = JobLog::new(5);
+        for i in 0..13u16 {
+            log.push_tagged(0.1 * f64::from(i + 1), 0.01 * f64::from(i + 1), ClassId(i % 3));
+        }
+        assert!(!log.sizes.as_slices().1.is_empty(), "the ring must wrap for this test");
+        let mut bulk = ByteWriter::new();
+        log.snapshot(&mut bulk);
+        let mut each = ByteWriter::new();
+        each.put_usize(log.capacity);
+        log.interarrivals.snapshot(&mut each);
+        log.sizes.snapshot(&mut each);
+        log.classes.snapshot(&mut each);
+        log.last_arrival.snapshot(&mut each);
+        assert_eq!(bulk.as_bytes(), each.as_bytes());
+        let back = JobLog::restore(&mut ByteReader::new(bulk.as_bytes())).unwrap();
+        assert_eq!(back, log);
     }
 
     #[test]
