@@ -141,10 +141,17 @@ fn sharded_fleet(c: &mut Criterion) {
             cluster.run(&trace, &jobs, &mut SplitUniform::new(seed)).expect("run succeeds")
         })
     });
-    for shards in [1_usize, 8] {
-        group.bench_function(format!("sharded_{shards}"), |b| {
+    // The 8-shard case is pinned to one and two workers, so the
+    // single-worker and multi-worker bucketing paths both run on any
+    // machine.
+    for (shards, threads) in [(1_usize, 0_usize), (8, 1), (8, 2)] {
+        let name = match threads {
+            0 => format!("sharded_{shards}"),
+            t => format!("sharded_{shards}_threads_{t}"),
+        };
+        group.bench_function(name, |b| {
             b.iter(|| {
-                let mut cluster = Cluster::new(config.clone());
+                let mut cluster = Cluster::new(config.clone()).with_threads(threads);
                 cluster
                     .run_sharded(&trace, &jobs, StreamSplit::new(seed), shards)
                     .expect("run succeeds")

@@ -19,8 +19,11 @@
 //! Run with `cargo run --release -p sleepscale-bench --bin shard_scale`
 //! (`--quick` for parity-only on the reduced fleet). Emits
 //! `results/shard_scale.csv` and the machine-readable
-//! `results/bench_shard_scale.json`; exits non-zero on any parity
-//! break or a missed throughput bar.
+//! `results/bench_shard_scale.json` — in full mode it also records the
+//! process's peak resident set after the mega run as
+//! `mega_peak_rss_mb` (0 under `--quick` or where `/proc` is
+//! unreadable); exits non-zero on any parity break or a missed
+//! throughput bar.
 
 use rand::SeedableRng;
 use sleepscale::{QosConstraint, RuntimeConfig, StrategySpec};
@@ -156,6 +159,23 @@ fn mega(n_servers: usize, cores: usize) -> (usize, f64, f64) {
     (jobs.len(), wall_s * 1e3, jobs_per_sec)
 }
 
+/// The `VmHWM` (peak resident set) line of a `/proc/<pid>/status`
+/// text, in MiB.
+fn parse_vm_hwm_mb(status: &str) -> Option<f64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
+/// This process's peak resident set in MiB, or 0 where `/proc` is
+/// unreadable.
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| parse_vm_hwm_mb(&status))
+        .unwrap_or(0.0)
+}
+
 fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -190,7 +210,9 @@ fn main() -> std::io::Result<()> {
     let bar = 10e6 * cores.min(4) as f64 / 4.0;
     let (mega_jobs, mega_wall_ms, mega_jobs_per_sec) =
         if quick { (0, 0.0, 0.0) } else { mega(mega_servers, cores) };
+    let mega_peak_rss_mb = if quick { 0.0 } else { peak_rss_mb() };
     if !quick {
+        println!("peak resident set after the mega run: {mega_peak_rss_mb:.1} MiB");
         rows.push(vec![
             "mega".into(),
             mega_servers.to_string(),
@@ -233,6 +255,7 @@ fn main() -> std::io::Result<()> {
     summary.field("mega_servers", JsonValue::Int(if quick { 0 } else { mega_servers as u64 }));
     summary.field("mega_jobs", JsonValue::Int(mega_jobs as u64));
     summary.field("mega_jobs_per_sec", JsonValue::Num(mega_jobs_per_sec));
+    summary.field("mega_peak_rss_mb", JsonValue::Num(mega_peak_rss_mb));
     summary.field("bar_jobs_per_sec", JsonValue::Num(if quick { 0.0 } else { bar }));
     let total_jobs = (parity_jobs * (shard_counts.len() + 1) + mega_jobs) as u64;
     summary.finish(parity_ok && throughput_ok, total_jobs);
@@ -257,4 +280,17 @@ fn main() -> std::io::Result<()> {
          >= {bar:.0} on {cores} hardware threads — OK"
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn vm_hwm_parses_in_mib() {
+        let status = "Name:\tshard_scale\nVmPeak:\t 9999 kB\nVmHWM:\t  2048 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(parse_vm_hwm_mb(status), Some(2.0));
+        assert_eq!(parse_vm_hwm_mb("VmRSS:\t 1 kB\n"), None);
+        assert_eq!(parse_vm_hwm_mb("VmHWM:\t 12 MB\n"), None);
+    }
 }

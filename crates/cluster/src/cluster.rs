@@ -263,34 +263,23 @@ struct ServerSlot {
     cache_misses: u64,
 }
 
-/// Jobs per locality segment in the serial sharded loop (~24 MB of
-/// scratch at 24 B/job): large enough to amortize the bucketing pass,
-/// small enough that the reusable scratch stays a rounding error next
-/// to a mega-fleet stream.
-const SHARD_SEGMENT: usize = 1 << 20;
+/// Jobs per sharded dispatch segment. Each epoch's arrivals are
+/// bucketed and dispatched one segment at a time, so the reusable
+/// per-shard lanes hold at most one segment (~100 MB at 24 B/job plus
+/// slack) however long the stream is. Large enough that each shard's
+/// run of arrivals keeps its slots cache-resident at mega-fleet shard
+/// counts; small next to a mega-fleet stream.
+const SHARD_SEGMENT: usize = 1 << 22;
 
-/// Per-shard dispatch state that persists across epochs: the position
-/// in the shard's pre-split arrival order and the shard's quantile
-/// sketches. Sketch merges add bucket counts exactly, so folding shard
-/// sketches in shard order yields the same bytes as one fleet-wide
-/// sketch — shard count cannot leak into any reported quantile. There
-/// is no backlog index here: seeded-hash routing is a pure function of
-/// the job's sequence number, so shards never consult (and need never
-/// maintain) queue depths.
+/// Per-shard quantile sketches, persisting across epochs. Sketch merges
+/// add bucket counts exactly, so folding shard sketches in shard order
+/// yields the same bytes as one fleet-wide sketch — shard count cannot
+/// leak into any reported quantile. There is no backlog index here:
+/// seeded-hash routing is a pure function of the job's sequence number,
+/// so shards never consult (and need never maintain) queue depths.
 struct ShardState {
-    pos: usize,
     sketch: QuantileSketch,
     class_sketches: Vec<QuantileSketch>,
-}
-
-/// Everything a shard's epoch loop reads but never writes, bundled so
-/// the per-shard workers share one immutable view of the run.
-#[derive(Clone, Copy)]
-struct EpochCtx {
-    split: StreamSplit,
-    n_servers: usize,
-    epoch_end: f64,
-    tagged: bool,
 }
 
 /// A fleet of servers, each with its own queue, power state, and
@@ -580,11 +569,12 @@ impl Cluster {
     }
 
     /// Runs the fleet *sharded*: servers are partitioned into `shards`
-    /// contiguous slices, the arrival stream is pre-split across them
+    /// contiguous slices, each epoch's arrivals are split across them
     /// by `split` (a pure function of the split seed and each job's
-    /// sequence number — never of timing), and every shard runs its
-    /// full dispatch loop concurrently with its own [`DispatchIndex`]
-    /// and streaming accumulators.
+    /// sequence number — never of timing), and every shard dispatches
+    /// its share concurrently into its own streaming accumulators.
+    /// Arrivals are bucketed one bounded segment at a time, so the run
+    /// never holds a second copy of the stream.
     ///
     /// The report is **byte-identical for every shard count**,
     /// including `shards = 1` and including [`Cluster::run`] with a
@@ -606,8 +596,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Propagates per-server strategy errors, and rejects streams of
-    /// more than `u32::MAX` jobs (the pre-split stores `u32` indices).
+    /// Propagates per-server strategy errors.
     pub fn run_sharded(
         &mut self,
         trace: &UtilizationTrace,
@@ -615,8 +604,9 @@ impl Cluster {
         split: StreamSplit,
         shards: usize,
     ) -> Result<ClusterReport, CoreError> {
+        let routing = Routing::Sharded { split, shards, segment: SHARD_SEGMENT };
         Ok(self
-            .run_inner(trace, jobs, Routing::Sharded { split, shards }, None, None)?
+            .run_inner(trace, jobs, routing, None, None)?
             .expect("run without a checkpoint sink always completes"))
     }
 
@@ -641,7 +631,8 @@ impl Cluster {
         resume_from: Option<&[u8]>,
         sink: Option<sleepscale::CheckpointSink<'_>>,
     ) -> Result<Option<ClusterReport>, CoreError> {
-        self.run_inner(trace, jobs, Routing::Sharded { split, shards }, resume_from, sink)
+        let routing = Routing::Sharded { split, shards, segment: SHARD_SEGMENT };
+        self.run_inner(trace, jobs, routing, resume_from, sink)
     }
 
     fn run_inner(
@@ -753,60 +744,25 @@ impl Cluster {
                 sketch: QuantileSketch::new(),
                 class_sketches: Vec::new(),
             },
-            // Sharded: pre-split the whole stream before simulating.
-            // Each job's server is the seeded hash of its sequence
-            // number; its shard follows from the server, so the
+            // Sharded: each job's server is the seeded hash of its
+            // sequence number; its shard follows from the server, so the
             // job→server map — and with it every per-server arrival
-            // subsequence — is independent of the shard count.
-            Routing::Sharded { split, shards } => {
+            // subsequence — is independent of the shard count. Arrivals
+            // are bucketed per epoch segment (see `ShardLanes`), never
+            // copied wholesale.
+            Routing::Sharded { split, shards, segment } => {
                 let chunk = n.div_ceil(shards.clamp(1, n));
                 let n_shards = n.div_ceil(chunk);
-                // With one worker the stream is never copied wholesale:
-                // the serial loop buckets bounded *segments* of the
-                // epoch into reusable per-shard scratch and dispatches
-                // shard by shard within each segment (see the dispatch
-                // arm below for why the bytes cannot differ from the
-                // concurrent walk).
-                //
-                // With real workers, each shard's order holds *copies*
-                // of its jobs, not indices into the shared stream: a
-                // shard reads its arrivals from one contiguous run
-                // instead of gather-loading the jobs array through an
-                // index indirection (the concurrent loop's dominant
-                // cache miss). Memory doubles the stream (24 B/job)
-                // for the run's duration.
-                // Autoscaled sharded runs always take the serial
-                // segment path below: each job's lane is drawn over the
-                // epoch's *active* count and mapped through the active
-                // set, which cannot be pre-split before the controller
-                // has run. The job→server map stays a pure function of
-                // (seed, sequence, active set), so the bytes remain
-                // shard- and thread-count invariant.
-                let orders: Vec<Vec<Job>> = if threads <= 1 || autoscaled {
-                    Vec::new()
-                } else {
-                    let mut orders: Vec<Vec<Job>> = vec![Vec::new(); n_shards];
-                    for lane in &mut orders {
-                        lane.reserve(jobs.len() / n_shards + jobs.len() / (n_shards * 8) + 16);
-                    }
-                    for job in jobs.jobs() {
-                        orders[split.lane_of(job, n) / chunk].push(*job);
-                    }
-                    orders
-                };
                 let states = (0..n_shards)
                     .map(|_| ShardState {
-                        pos: 0,
                         sketch: QuantileSketch::new(),
                         class_sketches: Vec::new(),
                     })
                     .collect();
                 DispatchState::Sharded {
                     split,
-                    chunk,
                     cursor: jobs.cursor(),
-                    orders,
-                    scratch: vec![Vec::new(); n_shards],
+                    lanes: ShardLanes::new(threads, n_shards, chunk, segment),
                     states,
                 }
             }
@@ -867,7 +823,7 @@ impl Cluster {
                         index.update(i, slot.sim.state().free_time());
                     }
                 }
-                DispatchState::Sharded { cursor, orders, states, .. } => {
+                DispatchState::Sharded { cursor, states, .. } => {
                     if mode != 1 {
                         return Err(CoreError::Checkpoint {
                             reason: "snapshot was taken under central routing".into(),
@@ -887,18 +843,10 @@ impl Cluster {
                         shard.sketch = QuantileSketch::restore(&mut r)?;
                         shard.class_sketches = Vec::restore(&mut r)?;
                     }
-                    // Stream positions are not stored: the serial and
-                    // threaded walks advance different position sets,
-                    // and the kill and the resume may use different
-                    // worker counts. Both sets are pure functions of
-                    // the sealed boundary, so fast-forward each to the
-                    // first arrival at or past it.
+                    // The stream position is not stored: it is a pure
+                    // function of the sealed boundary, so fast-forward to
+                    // the first arrival at or past it.
                     cursor.seek(jobs.jobs().partition_point(|j| j.arrival < resumed_end));
-                    for (s, shard) in states.iter_mut().enumerate() {
-                        shard.pos = orders
-                            .get(s)
-                            .map_or(0, |o| o.partition_point(|j| j.arrival < resumed_end));
-                    }
                 }
             }
             if let Some(ctrl) = controller.as_mut() {
@@ -1078,89 +1026,25 @@ impl Cluster {
                         index.update(target, slot.sim.state().free_time());
                     }
                 }
-                // Sharded: every shard walks its own pre-split arrival
-                // order concurrently. Shards own disjoint `&mut` slot
-                // slices and disjoint state, so no locks; how shards
-                // are grouped onto workers cannot matter, because each
-                // shard's work is touched by exactly one worker and
-                // shards share nothing mutable.
-                DispatchState::Sharded { split, chunk, cursor, orders, scratch, states } => {
-                    let ctx = EpochCtx { split: *split, n_servers: n, epoch_end, tagged };
-                    let chunk = *chunk;
-                    if threads <= 1 || autoscaled {
-                        // Serial: bucket the epoch into bounded
-                        // segments of per-shard scratch, then dispatch
-                        // shard by shard within each segment. Shard-
-                        // grouping a segment keeps each shard's slot
-                        // working set cache-resident (the mega-fleet
-                        // win) while the reusable scratch caps fresh
-                        // memory at one segment (~24 MB) instead of a
-                        // full stream copy. The bytes cannot differ
-                        // from the concurrent walk: segment order and
-                        // shard-grouping both preserve every *slot's*
-                        // arrival subsequence (so per-slot float
-                        // streams are identical), and shard sketches
-                        // see the same multiset of responses as exact
-                        // commutative u64 bucket adds.
-                        // Autoscaled: the lane is drawn over the active
-                        // count and mapped through the active set — the
-                        // seeded hash spreads each epoch's jobs across
-                        // exactly the awake servers, and the map stays
-                        // independent of shard and thread counts.
-                        let slot_of = |job: &Job| match autoscaled {
-                            true => active_slots[split.lane_of(job, active_slots.len())],
-                            false => split.lane_of(job, n),
-                        };
-                        let batch = cursor.take_before(epoch_end);
-                        for segment in batch.chunks(SHARD_SEGMENT) {
-                            for lane in scratch.iter_mut() {
-                                lane.clear();
-                            }
-                            for job in segment {
-                                scratch[slot_of(job) / chunk].push(*job);
-                            }
-                            for (s, lane) in scratch.iter().enumerate() {
-                                let shard = &mut states[s];
-                                let shard_slots = &mut slots[s * chunk..n.min((s + 1) * chunk)];
-                                for job in lane {
-                                    let target = slot_of(job) - s * chunk;
-                                    dispatch_one(
-                                        &mut shard_slots[target],
-                                        job,
-                                        epoch_end,
-                                        tagged,
-                                        &mut shard.sketch,
-                                        &mut shard.class_sketches,
-                                    );
-                                }
-                            }
-                        }
-                    } else {
-                        let mut tasks: Vec<(usize, &mut [ServerSlot], &mut ShardState)> = slots
-                            .chunks_mut(chunk)
-                            .zip(states.iter_mut())
-                            .enumerate()
-                            .map(|(s, (shard_slots, shard))| (s, shard_slots, shard))
-                            .collect();
-                        let workers = threads.min(tasks.len());
-                        let orders = &*orders;
-                        let per_worker = tasks.len().div_ceil(workers);
-                        std::thread::scope(|scope| {
-                            for group in tasks.chunks_mut(per_worker) {
-                                scope.spawn(move || {
-                                    for (s, shard_slots, shard) in group {
-                                        run_shard_epoch(
-                                            shard_slots,
-                                            shard,
-                                            &orders[*s],
-                                            *s * chunk,
-                                            ctx,
-                                        );
-                                    }
-                                });
-                            }
-                        });
-                    }
+                // Sharded: the epoch's arrivals are bucketed per shard
+                // and every shard dispatches its own bucket; shards own
+                // disjoint `&mut` slot slices and disjoint state, so no
+                // locks. Autoscaled runs draw each lane over the epoch's
+                // *active* count and map it through the active set —
+                // the seeded hash spreads the epoch's jobs across exactly
+                // the awake servers, and the job→server map stays a pure
+                // function of (seed, sequence, active set), independent
+                // of shard and thread counts. The active set only changes
+                // between epochs, so the dispatch fans out either way.
+                DispatchState::Sharded { split, cursor, lanes, states } => {
+                    let split = *split;
+                    let active = autoscaled.then_some(active_slots.as_slice());
+                    let slot_of = |job: &Job| match active {
+                        Some(set) => set[split.lane_of(job, set.len())],
+                        None => split.lane_of(job, n),
+                    };
+                    let batch = cursor.take_before(epoch_end);
+                    lanes.dispatch_epoch(batch, &slot_of, &mut slots, states, epoch_end, tagged);
                 }
             }
 
@@ -1581,14 +1465,15 @@ enum Routing<'a> {
     /// One sequential dispatch loop driven by a stateful [`Dispatcher`]
     /// that may read the live fleet backlog.
     Central(&'a mut dyn Dispatcher),
-    /// Pre-split seeded-hash routing over contiguous server shards that
-    /// dispatch concurrently.
-    Sharded { split: StreamSplit, shards: usize },
+    /// Seeded-hash routing over contiguous server shards that dispatch
+    /// concurrently, `segment` arrivals at a time (always
+    /// [`SHARD_SEGMENT`] outside this module's tests).
+    Sharded { split: StreamSplit, shards: usize, segment: usize },
 }
 
 /// The per-run dispatch state behind [`Routing`]: the central loop's
-/// cursor/index/sketches, or the sharded loop's pre-split arrival
-/// orders and per-shard states.
+/// cursor/index/sketches, or the sharded loop's cursor, bucketing lanes
+/// and per-shard states.
 enum DispatchState<'a, 'j> {
     Central {
         dispatcher: &'a mut dyn Dispatcher,
@@ -1599,10 +1484,8 @@ enum DispatchState<'a, 'j> {
     },
     Sharded {
         split: StreamSplit,
-        chunk: usize,
         cursor: JobCursor<'j>,
-        orders: Vec<Vec<Job>>,
-        scratch: Vec<Vec<Job>>,
+        lanes: ShardLanes,
         states: Vec<ShardState>,
     },
 }
@@ -1649,35 +1532,95 @@ fn dispatch_one(
     }
 }
 
-/// One shard's dispatch loop for one epoch: walk the shard's pre-split
-/// arrival order up to the epoch boundary, routing each job to the
-/// server its sequence number hashes to (shifted into shard-local
-/// coordinates). Routing is a pure hash, so the loop maintains no
-/// backlog index. No cross-shard reads or writes anywhere in the loop.
-fn run_shard_epoch(
-    slots: &mut [ServerSlot],
-    shard: &mut ShardState,
-    order: &[Job],
-    shard_start: usize,
-    ctx: EpochCtx,
-) {
-    while shard.pos < order.len() {
-        let job = &order[shard.pos];
-        if job.arrival >= ctx.epoch_end {
-            break;
-        }
-        shard.pos += 1;
-        let target = ctx.split.lane(job.sequence(), ctx.n_servers) - shard_start;
-        let slot = &mut slots[target];
-        dispatch_one(
-            slot,
-            job,
-            ctx.epoch_end,
-            ctx.tagged,
-            &mut shard.sketch,
-            &mut shard.class_sketches,
-        );
+/// The sharded engine's reusable bucketing scratch: `lanes[w][s]` holds
+/// worker `w`'s share of the current segment bound for shard `s` (the
+/// servers `s * chunk..(s + 1) * chunk`). Lanes are cleared, never
+/// shrunk, so after the first segment they allocate nothing.
+struct ShardLanes {
+    chunk: usize,
+    segment: usize,
+    lanes: Vec<Vec<Vec<Job>>>,
+}
+
+impl ShardLanes {
+    fn new(workers: usize, n_shards: usize, chunk: usize, segment: usize) -> ShardLanes {
+        ShardLanes { chunk, segment, lanes: vec![vec![Vec::new(); n_shards]; workers] }
     }
+
+    /// Dispatches one epoch's `batch` one segment at a time, in two
+    /// parallel phases per segment:
+    ///
+    /// 1. **Bucket** — worker `w` splits the `w`-th contiguous sub-slice
+    ///    of the segment into its own per-shard lanes.
+    /// 2. **Dispatch** — each worker takes a contiguous range of shards
+    ///    and feeds every shard `lanes[0][s]`, then `lanes[1][s]`, and so
+    ///    on, through [`dispatch_one`].
+    ///
+    /// The bytes cannot depend on the segment length or the worker
+    /// count: sub-slices are read back in stream order, so every
+    /// *slot* sees its arrival subsequence in stream order (identical
+    /// per-slot float streams), and each shard's sketches see the same
+    /// multiset of responses as exact commutative u64 bucket adds.
+    fn dispatch_epoch(
+        &mut self,
+        batch: &[Job],
+        slot_of: &(impl Fn(&Job) -> usize + Sync),
+        slots: &mut [ServerSlot],
+        shards: &mut [ShardState],
+        epoch_end: f64,
+        tagged: bool,
+    ) {
+        let chunk = self.chunk;
+        let per_worker = shards.len().div_ceil(self.lanes.len());
+        for segment in batch.chunks(self.segment) {
+            let part = segment.len().div_ceil(self.lanes.len());
+            // Only the first `used` workers get a sub-slice; the rest
+            // keep stale lanes that the dispatch phase never reads.
+            let used = segment.len().div_ceil(part);
+            let reserve = part / shards.len() + part / (shards.len() * 8) + 16;
+            fan_out(self.lanes[..used].iter_mut().zip(segment.chunks(part)), |(lanes, part)| {
+                for lane in lanes.iter_mut() {
+                    lane.clear();
+                    lane.reserve(reserve);
+                }
+                for job in part {
+                    lanes[slot_of(job) / chunk].push(*job);
+                }
+            });
+            let filled = &self.lanes[..used];
+            let ranges = slots.chunks_mut(chunk * per_worker).zip(shards.chunks_mut(per_worker));
+            fan_out(ranges.enumerate(), |(r, (slots, shards))| {
+                for (i, (shard_slots, shard)) in slots.chunks_mut(chunk).zip(shards).enumerate() {
+                    let s = r * per_worker + i;
+                    for job in filled.iter().flat_map(|lanes| &lanes[s]) {
+                        dispatch_one(
+                            &mut shard_slots[slot_of(job) - s * chunk],
+                            job,
+                            epoch_end,
+                            tagged,
+                            &mut shard.sketch,
+                            &mut shard.class_sketches,
+                        );
+                    }
+                }
+            });
+        }
+    }
+}
+
+/// Runs `f` on every task: the first on the calling thread, the rest on
+/// scoped workers, returning once all have finished.
+fn fan_out<T: Send>(mut tasks: impl Iterator<Item = T>, f: impl Fn(T) + Sync) {
+    let f = &f;
+    std::thread::scope(|scope| {
+        let first = tasks.next();
+        for task in tasks {
+            scope.spawn(move || f(task));
+        }
+        if let Some(task) = first {
+            f(task);
+        }
+    });
 }
 
 /// Runs `f` over every slot, fanning out across scoped worker threads
@@ -1690,27 +1633,10 @@ fn par_each(
     threads: usize,
     f: &(impl Fn(&mut ServerSlot) -> Result<(), CoreError> + Sync),
 ) -> Result<(), CoreError> {
-    if threads <= 1 || slots.len() <= 1 {
-        for slot in slots {
-            f(slot)?;
-        }
-        return Ok(());
-    }
-    let chunk_len = slots.len().div_ceil(threads.min(slots.len()));
-    let mut outcomes: Vec<Result<(), CoreError>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = slots
-            .chunks_mut(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    for slot in chunk.iter_mut() {
-                        f(slot)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        outcomes.extend(handles.into_iter().map(|h| h.join().expect("cluster worker panicked")));
+    let chunk_len = slots.len().div_ceil(threads).max(1);
+    let mut outcomes = vec![Ok(()); slots.len().div_ceil(chunk_len)];
+    fan_out(slots.chunks_mut(chunk_len).zip(&mut outcomes), |(chunk, outcome)| {
+        *outcome = chunk.iter_mut().try_for_each(|slot| f(slot));
     });
     outcomes.into_iter().collect()
 }
@@ -2121,6 +2047,31 @@ mod tests {
         }
     }
 
+    /// Segment boundaries cannot leak into the bytes: cutting each
+    /// epoch into segments of 1, 7 or 1000 arrivals — so bucketing
+    /// sub-slices and shard dispatch cross segment edges constantly —
+    /// reproduces the central `SplitUniform` run for every worker and
+    /// shard count.
+    #[test]
+    fn sharded_segment_length_cannot_change_the_bytes() {
+        let (config, trace, jobs) = setup(7, 15, 66);
+        let reference = run_with(&mut crate::SplitUniform::new(9), &config, &trace, &jobs);
+        for segment in [1usize, 7, 1000] {
+            for threads in [1usize, 2, 5] {
+                for shards in [2usize, 3, 7] {
+                    let mut cluster = Cluster::new(config.clone()).with_threads(threads);
+                    let routing = Routing::Sharded { split: StreamSplit::new(9), shards, segment };
+                    let report = cluster.run_inner(&trace, &jobs, routing, None, None).unwrap();
+                    assert_eq!(
+                        report.as_ref(),
+                        Some(&reference),
+                        "segment={segment} threads={threads} shards={shards} diverged"
+                    );
+                }
+            }
+        }
+    }
+
     /// Class tags survive sharding: a tagged stream's per-class slices
     /// and energy attribution are shard-count invariant too (tags ride
     /// the id's high bits, the split hashes the sequence number).
@@ -2167,8 +2118,7 @@ mod tests {
         }
     }
 
-    /// Oversized job streams are rejected up front, not truncated: the
-    /// sharded pre-split stores u32 indices.
+    /// A shard count of zero clamps to one shard.
     #[test]
     fn sharded_shard_counts_clamp_and_zero_is_one() {
         let (config, trace, jobs) = setup(3, 10, 59);
@@ -2307,7 +2257,7 @@ mod tests {
     /// Autoscaled runs keep the engine's byte-determinism: worker
     /// thread counts cannot leak into the report, under central and
     /// sharded routing alike, and sharded runs stay shard-count
-    /// invariant (the serial segment path draws each lane over the
+    /// invariant (every sharded dispatch draws each lane over the
     /// epoch's active set).
     #[test]
     fn autoscaled_runs_are_thread_and_shard_invariant() {
